@@ -1,15 +1,19 @@
 // The discrete-event simulation engine.
 //
-// A single Engine owns a priority queue of timestamped events. Events are
-// plain callbacks; coroutine-based logical processes (sim::Task) schedule
-// their own resumption through it. The entire simulation runs on one OS
-// thread: determinism comes from strict (time, sequence) ordering, and the
-// design is data-race-free by construction (C++ Core Guidelines CP.2).
+// A single Engine owns a binary min-heap of timestamped events. An event is
+// either a coroutine resumption (the common case: delays and wakeups of
+// sim::Task processes) or a plain callback. The heap holds only small keys
+// (time, sequence, payload); the payload is a coroutine frame address or
+// the index of a callback parked in a free-listed slab, so dispatch copies
+// no type-erased callable. The entire simulation runs on one OS thread:
+// determinism comes from strict (time, sequence) ordering across both
+// kinds of event, and the design is data-race-free by construction (C++
+// Core Guidelines CP.2).
 #pragma once
 
+#include <coroutine>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "fault/hooks.hpp"
@@ -36,6 +40,16 @@ class Engine {
     schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(fn));
   }
 
+  /// Resume coroutine `h` at absolute virtual time `at` (clamped to now()).
+  /// Orders, clamps and passes through the fault hook exactly like
+  /// schedule_at(), without wrapping the handle in a callback.
+  void resume_at(Time at, std::coroutine_handle<> h);
+
+  /// Resume coroutine `h` `delay` from now.
+  void resume_in(Time delay, std::coroutine_handle<> h) {
+    resume_at(now_ + (delay < 0 ? 0 : delay), h);
+  }
+
   /// Run until the event queue is empty. Returns the final virtual time.
   Time run();
 
@@ -46,8 +60,8 @@ class Engine {
   /// Execute a single event. Returns false if the queue was empty.
   bool step();
 
-  [[nodiscard]] bool empty() const noexcept { return queue_.empty(); }
-  [[nodiscard]] std::size_t pending() const noexcept { return queue_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return heap_.empty(); }
+  [[nodiscard]] std::size_t pending() const noexcept { return heap_.size(); }
 
   /// Total events executed so far (useful for tests and perf counters).
   [[nodiscard]] std::uint64_t events_executed() const noexcept {
@@ -68,24 +82,27 @@ class Engine {
   [[nodiscard]] fault::ScheduleHook* fault() const noexcept { return fault_; }
 
  private:
+  // Payload encoding: a coroutine frame address (frames come from operator
+  // new, so bit 0 is clear) or (callback slot << 1) | kCallbackTag.
+  static constexpr std::uintptr_t kCallbackTag = 1;
+
   struct Event {
     Time at;
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uintptr_t payload;
   };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
+
+  /// Clamp, perturb and enqueue one event.
+  void push(Time at, std::uintptr_t payload);
 
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   trace::Tracer* tracer_ = nullptr;
   fault::ScheduleHook* fault_ = nullptr;
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
+  std::vector<Event> heap_;  // min-heap on (at, seq)
+  std::vector<std::function<void()>> callbacks_;  // slab indexed by slot
+  std::vector<std::uint32_t> free_slots_;
 };
 
 }  // namespace hupc::sim

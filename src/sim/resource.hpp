@@ -11,12 +11,22 @@
 // per-connection bandwidth limit below the aggregate link capacity). Rates
 // are recomputed exactly on every arrival and departure, so the model is a
 // piecewise-linear fluid approximation with no time-stepping error.
+//
+// The water-filling visits transfers in cap order, and the per-transfer
+// rates it hands out can differ in the last bit. Which transfer gets which
+// rate among equal caps is the permutation std::sort leaves equal keys in,
+// and that mapping is part of the model's bit-exact output (work stealing
+// turns such last-bit differences into different steal races). In the
+// common all-caps-equal case the rates depend only on the transfer count
+// and the cap, so they are computed in that permutation once per count and
+// cached, instead of being re-sorted and re-divided on every update.
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
-#include <list>
 #include <memory>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
@@ -83,8 +93,11 @@ class FluidLink {
   };
 
   void advance_progress();
-  void assign_rates();
-  void schedule_next_completion();
+  /// Water-fill the rates and schedule the next completion event.
+  void rebalance();
+  /// Water-filled rates of `n` transfers that all have cap `cap`, by
+  /// arrival position.
+  const std::vector<double>& equal_cap_rates(std::size_t n, double cap);
   void on_completion_event(std::uint64_t generation);
 
   Engine* engine_;
@@ -92,7 +105,17 @@ class FluidLink {
   double total_bytes_ = 0.0;
   Time last_update_ = 0;
   std::uint64_t generation_ = 0;  // invalidates stale completion events
-  std::list<Xfer> transfers_;
+  std::vector<Xfer> transfers_;  // arrival order
+  std::vector<std::uint32_t> sorted_;  // scratch: positions in cap order
+  // Equal-cap rate tables for the last few transfer counts seen, in slot
+  // count % size: the count moves by one per arrival or departure, so the
+  // counts a link oscillates between stay cached in bounded memory.
+  struct EqualRates {
+    std::size_t n = 0;  // 0: empty
+    double cap = 0.0;
+    std::vector<double> rate;  // by arrival position
+  };
+  std::array<EqualRates, 8> equal_rates_;
 };
 
 }  // namespace hupc::sim

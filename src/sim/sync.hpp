@@ -34,7 +34,7 @@ class Event {
     if (triggered_) return;
     triggered_ = true;
     for (auto h : waiters_) {
-      engine_->schedule_in(0, [h] { h.resume(); });
+      engine_->resume_in(0, h);
     }
     waiters_.clear();
   }
@@ -89,7 +89,7 @@ class Semaphore {
         auto h = waiters_.front();
         waiters_.pop_front();
         // The permit is handed directly to the waiter; count_ unchanged.
-        engine_->schedule_in(0, [h] { h.resume(); });
+        engine_->resume_in(0, h);
       } else {
         ++count_;
       }
@@ -154,7 +154,7 @@ struct FutureState {
 
   void wake_all() {
     for (auto h : waiters) {
-      engine->schedule_in(0, [h] { h.resume(); });
+      engine->resume_in(0, h);
     }
     waiters.clear();
   }
@@ -169,7 +169,7 @@ struct FutureState<void> {
 
   void wake_all() {
     for (auto h : waiters) {
-      engine->schedule_in(0, [h] { h.resume(); });
+      engine->resume_in(0, h);
     }
     waiters.clear();
   }
@@ -319,7 +319,7 @@ class Barrier {
     arrived_ = 0;
     ++phase_;
     for (auto h : waiters_) {
-      engine_->schedule_in(0, [h] { h.resume(); });
+      engine_->resume_in(0, h);
     }
     waiters_.clear();
     // Release split-phase waiters whose phase has now completed.
@@ -327,7 +327,7 @@ class Barrier {
     keep.reserve(phase_waiters_.size());
     for (auto& [ph, h] : phase_waiters_) {
       if (phase_ > ph) {
-        engine_->schedule_in(0, [h2 = h] { h2.resume(); });
+        engine_->resume_in(0, h);
       } else {
         keep.emplace_back(ph, h);
       }

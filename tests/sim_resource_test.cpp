@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <list>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -11,6 +17,145 @@
 namespace {
 
 using namespace hupc::sim;  // NOLINT: test-local convenience
+
+/// Exact oracle: the original list-based FluidLink that sorts every flow by
+/// cap with std::sort on each arrival and departure. FluidLink must
+/// reproduce its completion times bit-for-bit, which pins the rate-to-flow
+/// mapping among equal caps (see resource.hpp).
+class ListFluidLink {
+ public:
+  ListFluidLink(Engine& engine, double capacity)
+      : engine_(&engine), capacity_(capacity) {}
+
+  Task<void> transfer(double bytes, double max_rate = 0.0) {
+    Promise<> done(*engine_);
+    Future<> fut = done.get_future();
+    if (bytes <= kEpsilonBytes) {
+      done.set_value();
+    } else {
+      advance_progress();
+      transfers_.push_back(Xfer{
+          bytes,
+          max_rate > 0.0 ? max_rate : std::numeric_limits<double>::infinity(),
+          0.0, std::move(done)});
+      assign_rates();
+      schedule_next_completion();
+    }
+    co_await fut.wait();
+  }
+
+ private:
+  static constexpr double kEpsilonBytes = 1e-6;
+  struct Xfer {
+    double remaining;
+    double cap;
+    double rate;
+    Promise<> done;
+  };
+
+  void advance_progress() {
+    const Time now = engine_->now();
+    const double elapsed = to_seconds(now - last_update_);
+    last_update_ = now;
+    if (elapsed <= 0.0) return;
+    for (auto& t : transfers_) {
+      t.remaining = std::max(0.0, t.remaining - elapsed * t.rate);
+    }
+  }
+
+  void assign_rates() {
+    std::vector<Xfer*> pool;
+    pool.reserve(transfers_.size());
+    for (auto& t : transfers_) pool.push_back(&t);
+    std::sort(pool.begin(), pool.end(),
+              [](const Xfer* a, const Xfer* b) { return a->cap < b->cap; });
+    double remaining_cap = capacity_;
+    std::size_t remaining_n = pool.size();
+    for (Xfer* t : pool) {
+      const double fair = remaining_cap / static_cast<double>(remaining_n);
+      t->rate = std::min(t->cap, fair);
+      remaining_cap -= t->rate;
+      --remaining_n;
+    }
+  }
+
+  void schedule_next_completion() {
+    ++generation_;
+    if (transfers_.empty()) return;
+    double min_finish = std::numeric_limits<double>::infinity();
+    for (const auto& t : transfers_) {
+      if (t.rate <= 0.0) continue;
+      min_finish = std::min(min_finish, t.remaining / t.rate);
+    }
+    if (!std::isfinite(min_finish)) return;
+    const Time dt = std::max<Time>(1, from_seconds(min_finish) +
+                                          (min_finish > 0.0 ? 1 : 0));
+    const std::uint64_t gen = generation_;
+    engine_->schedule_in(dt, [this, gen] { on_completion_event(gen); });
+  }
+
+  void on_completion_event(std::uint64_t generation) {
+    if (generation != generation_) return;
+    advance_progress();
+    bool removed = false;
+    for (auto it = transfers_.begin(); it != transfers_.end();) {
+      if (it->remaining <= kEpsilonBytes) {
+        it->done.set_value();
+        it = transfers_.erase(it);
+        removed = true;
+      } else {
+        ++it;
+      }
+    }
+    if (removed) assign_rates();
+    schedule_next_completion();
+  }
+
+  Engine* engine_;
+  double capacity_;
+  Time last_update_ = 0;
+  std::uint64_t generation_ = 0;
+  std::list<Xfer> transfers_;
+};
+
+/// One closed-loop sender: after a staggered start it pushes `count`
+/// transfers of 8..64 bytes back to back, so the link sees many arrivals
+/// and departures at a concurrency near the number of streams.
+struct Stream {
+  Time start;
+  double cap;  // <= 0: uncapped
+};
+
+/// Runs `streams` of 20 transfers each through a fresh link of type L;
+/// returns (stream id, completion time) in completion order, plus the
+/// engine's event count.
+template <class L>
+std::pair<std::vector<std::pair<int, Time>>, std::uint64_t> drive_streams(
+    const std::vector<Stream>& streams, double capacity) {
+  Engine e;
+  L link(e, capacity);
+  std::vector<std::pair<int, Time>> done;
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    spawn(e, [](Engine& eng, L& l, Stream s, int id,
+                std::vector<std::pair<int, Time>>& d) -> Task<void> {
+      hupc::util::Xoshiro256ss rng(static_cast<std::uint64_t>(id) * 31U + 7U);
+      co_await delay(eng, s.start);
+      for (int k = 0; k < 20; ++k) {
+        co_await l.transfer(8.0 * static_cast<double>(1 + rng.below(8)),
+                            s.cap);
+        d.emplace_back(id, eng.now());
+      }
+    }(e, link, streams[i], static_cast<int>(i), done));
+  }
+  e.run();
+  return {done, e.events_executed()};
+}
+
+std::vector<Stream> staggered_streams(int n, double cap) {
+  std::vector<Stream> streams;
+  for (int i = 0; i < n; ++i) streams.push_back(Stream{(i * 37) % 64, cap});
+  return streams;
+}
 
 TEST(FifoServer, ServesInOrderWithBackToBackTiming) {
   Engine e;
@@ -150,6 +295,40 @@ TEST(FluidLink, ConservationProperty) {
   EXPECT_EQ(completed, n);
   EXPECT_NEAR(link.total_bytes(), offered, 1.0);
   EXPECT_EQ(link.active_transfers(), 0u);
+}
+
+TEST(FluidLink, EqualCapRatesMatchSortedOracleExactly) {
+  // Rates among equal caps differ in the last bit, and which stream gets
+  // which one decides half-nanosecond roundings of completion times. Above
+  // 16 flows std::sort permutes equal keys, so n = 17..64 is where a
+  // shortcut (identity order, or C/n for all) diverges from the oracle.
+  for (int n = 1; n <= 64; ++n) {
+    for (double cap : {0.0, 1e8}) {
+      const auto streams = staggered_streams(n, cap);
+      const auto want = drive_streams<ListFluidLink>(streams, 3.2e9);
+      const auto got = drive_streams<FluidLink>(streams, 3.2e9);
+      ASSERT_EQ(got.first.size(), static_cast<std::size_t>(20 * n));
+      EXPECT_EQ(got.first, want.first) << "n=" << n << " cap=" << cap;
+      EXPECT_EQ(got.second, want.second) << "n=" << n << " cap=" << cap;
+    }
+  }
+}
+
+TEST(FluidLink, MixedCapRatesMatchSortedOracleExactly) {
+  // A third of the streams carry a cap too high to bind, the rest none:
+  // the sort splits equal fair shares across two keys, and the permutation
+  // it leaves them in decides the last bits again.
+  for (int n = 17; n <= 64; ++n) {
+    std::vector<Stream> streams = staggered_streams(n, 0.0);
+    for (std::size_t i = 0; i < streams.size(); ++i) {
+      if (i % 3 == 0) streams[i].cap = 1e9;
+    }
+    const auto want = drive_streams<ListFluidLink>(streams, 3.2e9);
+    const auto got = drive_streams<FluidLink>(streams, 3.2e9);
+    ASSERT_EQ(got.first.size(), 20 * streams.size());
+    EXPECT_EQ(got.first, want.first) << "n=" << n;
+    EXPECT_EQ(got.second, want.second) << "n=" << n;
+  }
 }
 
 }  // namespace

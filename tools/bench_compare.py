@@ -26,6 +26,10 @@ Policy (DESIGN.md §11):
   * benchmarks present in the baseline but absent from the current run
     warn — a silently vanished benchmark must not pass the gate quietly.
 
+Every run also reports, without gating, how many modeled metrics (by
+median) and trace counters differ from the baseline at all, bit-for-bit,
+and lists their ids: a speed-only change must move none of them.
+
 Exit codes: 0 ok / annotations only, 1 hard regression, 2 usage or schema
 error.
 """
@@ -139,6 +143,30 @@ def compare(current, baseline, max_regress=0.30, noise_mult=3.0):
     return failures, warnings, notes
 
 
+def moved(current, baseline):
+    """Ids of modeled metrics and counters whose value differs at all from
+    the baseline, bit-for-bit; entries missing on either side are skipped
+    (compare() warns about those)."""
+    metrics, counters = [], []
+    by_id = {b["id"]: b for b in current.get("benchmarks", [])}
+    for base_bench in baseline.get("benchmarks", []):
+        bid = base_bench["id"]
+        cur_bench = by_id.get(bid)
+        if cur_bench is None:
+            continue
+        cur_metrics = cur_bench.get("metrics", {})
+        for name, base_m in base_bench.get("metrics", {}).items():
+            if base_m.get("kind", "modeled") != "modeled" or name not in cur_metrics:
+                continue
+            if cur_metrics[name]["median"] != base_m["median"]:
+                metrics.append(f"{bid} {name}")
+        cur_counters = cur_bench.get("counters", {})
+        for name, base_v in base_bench.get("counters", {}).items():
+            if name in cur_counters and cur_counters[name] != base_v:
+                counters.append(f"{bid} counter {name}")
+    return metrics, counters
+
+
 def run_compare(argv):
     paths, max_regress, noise_mult, report_only = [], 0.30, 3.0, False
     for arg in argv:
@@ -164,6 +192,13 @@ def run_compare(argv):
         print(f"[warn] {line}")
     for line in notes:
         print(f"[note] {line}")
+    moved_metrics, moved_counters = moved(current, baseline)
+    for line in moved_metrics + moved_counters:
+        print(f"[moved] {line}")
+    print(
+        f"bench_compare: {len(moved_metrics)} modeled metrics and "
+        f"{len(moved_counters)} counters moved"
+    )
     n_base = len(baseline.get("benchmarks", []))
     print(
         f"bench_compare: {n_base} baseline benchmarks checked, "
@@ -255,6 +290,20 @@ def self_test():
     # 9. improvement does not fail (direction-aware)
     fast = _doc([_bench("b.gups", {"gups": (0.90, 0.0, hi, "modeled")}, {"net.msg": 1000})])
     check("3x improvement passes", fast, base, want_fail=False)
+
+    # 10. the moved report counts any bit-level change, not just regressions
+    def check_moved(name, current, baseline, want):
+        got = moved(current, baseline)
+        ok = got == want
+        checks.append((name, ok, [] if ok else [f"got {got}"]))
+        print(f"{'PASS' if ok else 'FAIL'}: {name}")
+
+    check_moved("identical re-run moves nothing", base, base, ([], []))
+    nudged = _doc([_bench("b.gups", {"gups": (0.30000000000000004, 0.0, hi, "modeled")},
+                          {"net.msg": 1001})])
+    check_moved("one-ulp metric and one-count counter drift are listed", nudged, base,
+                (["b.gups gups"], ["b.gups counter net.msg"]))
+    check_moved("measured metrics are never listed", mslow, mbase, ([], []))
 
     bad = [name for name, ok, _ in checks if not ok]
     if bad:

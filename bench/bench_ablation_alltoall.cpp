@@ -25,13 +25,14 @@ double run_alltoall(int threads, int nodes, std::size_t bytes_per_pair,
       co_await mpi.alltoall(t, nullptr, nullptr, bytes_per_pair);
     } else {
       // Modeled flat exchange: the UPC-style p2p pattern.
-      std::vector<sim::Future<>> pending;
+      std::vector<async::future<>> pending;
       for (int step = 1; step < t.threads(); ++step) {
         const int peer = (t.rank() + step) % t.threads();
-        pending.push_back(
-            t.start_async(t.copy_raw(peer, nullptr, nullptr, bytes_per_pair)));
+        pending.push_back(sim::spawn(
+            t.runtime().engine(),
+            t.copy_raw(peer, nullptr, nullptr, bytes_per_pair)));
       }
-      for (auto& f : pending) co_await f.wait();
+      for (auto& f : pending) co_await f;
       co_await t.barrier();
     }
   });

@@ -81,14 +81,15 @@ ExchangeTimes run_exchange(const Variant& v, int threads, bool async) {
       co_await t.barrier();
       if (t.rank() == 0) times.total = sim::to_seconds(eng.now() - start);
     } else {
-      std::vector<sim::Future<>> pending;
+      std::vector<async::future<>> pending;
       for (int step = 1; step < t.threads(); ++step) {
         const int peer = (t.rank() + step) % t.threads();
-        pending.push_back(t.start_async(t.copy_raw(
-            peer, nullptr, nullptr, static_cast<std::size_t>(chunk))));
+        pending.push_back(sim::spawn(
+            eng, t.copy_raw(peer, nullptr, nullptr,
+                            static_cast<std::size_t>(chunk))));
       }
       const sim::Time issued = eng.now();
-      for (auto& f : pending) co_await f.wait();
+      for (auto& f : pending) co_await f;
       co_await t.barrier();
       if (t.rank() == 0) {
         times.issue = sim::to_seconds(issued - start);

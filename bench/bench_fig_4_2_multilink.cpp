@@ -59,13 +59,13 @@ double flood_mbs(net::ConnectionMode mode, int links, double bytes,
   for (int link = 0; link < links; ++link) {
     sim::spawn(engine, []([[maybe_unused]] sim::Engine& eng, net::Network& n,
                           int ep, double b, int count) -> sim::Task<void> {
-      std::vector<sim::Future<>> inflight;
+      std::vector<async::future<>> inflight;
       inflight.reserve(static_cast<std::size_t>(count));
       for (int i = 0; i < count; ++i) {
         inflight.push_back(
             n.rma_async({.src_node = 0, .src_ep = ep, .dst_node = 1, .bytes = b}));
       }
-      for (auto& f : inflight) co_await f.wait();
+      for (auto& f : inflight) co_await f;
     }(engine, nw, link, bytes, messages));
   }
   engine.run();

@@ -1,8 +1,10 @@
 // Chainable asynchronous completion objects for the simulated runtime
-// (DESIGN.md §13) — the UPC++-style `future`/`promise` pair the GAS layer
-// returns from non-blocking operations.
+// (DESIGN.md §13) — the UPC++-style `future`/`promise` pair, and the one
+// completion type of the whole simulator: sim::spawn, FluidLink transfers,
+// network and memory streams, MPI requests and every GAS non-blocking copy
+// return an async::future.
 //
-// Unlike sim::Future (a bare waitsync handle), async::future composes:
+// Besides the upc_waitsync-style wait, a future composes:
 //   fut.then(f)          — attach a continuation; returns a future for f's
 //                          result (futures returned by f are unwrapped);
 //   when_all(futs)       — one future that resolves after every input, with
@@ -13,16 +15,20 @@
 //   co_await fut         — suspend a sim::Task until resolution.
 //
 // Completion-ordering rule (the property the test battery hammers): when a
-// shared state carries an engine, EVERY callback fires as a same-instant
-// engine event — never inline from set_value() or then(). Continuations of
-// one future therefore run in attach (FIFO) order, whether attached before
-// or after fulfilment, and resume stacks stay flat. Engine-less states
-// (make_ready_future, unit tests without a simulation) run callbacks
-// inline at attach/fulfil time instead.
+// shared state carries an engine, EVERY waiter — a coroutine suspended in
+// wait() or a then/finally callback — runs as its own same-instant engine
+// event, never inline from set_value() or then(). Waiters of one future
+// therefore run in attach (FIFO) order, whether attached before or after
+// fulfilment, and resume stacks stay flat. A suspended coroutine is
+// dispatched as a bare resume event, a callback as a callback event; both
+// draw on one sequence counter, so the kind never changes the order.
+// Engine-less states (make_ready_future, when_all results, unit tests
+// without a simulation) run waiters inline at attach/fulfil time instead.
 //
-// This header is deliberately header-only and depends only on sim/: the
-// GAS layer returns async::future<> from copy_async without linking the
-// (gas-dependent) hupc_async RPC library above it.
+// This header is deliberately header-only and depends only on sim/engine
+// and sim/task: the sim layer itself (spawn, FluidLink) returns these
+// futures, and the GAS layer returns them from copy_async without linking
+// the (gas-dependent) hupc_async RPC library above it.
 #pragma once
 
 #include <cassert>
@@ -65,45 +71,56 @@ struct StateValue<void> {};
 
 template <class T>
 struct State : StateValue<T> {
-  sim::Engine* engine = nullptr;  // null => inline callback execution
+  /// A coroutine suspended in wait() (`handle` set), or else a
+  /// then/finally callback.
+  struct Waiter {
+    std::coroutine_handle<> handle;
+    std::function<void()> fn;
+  };
+
+  sim::Engine* engine = nullptr;  // null => inline waiter execution
   bool ready = false;
   std::exception_ptr exception{};
-  std::vector<std::function<void()>> callbacks;  // FIFO while pending
+  std::vector<Waiter> waiters;  // FIFO while pending
 
   State() { ++live_state_count(); }
   State(const State&) = delete;
   State& operator=(const State&) = delete;
   ~State() { --live_state_count(); }
 
-  /// Run `cb` exactly once, per the completion-ordering rule above.
-  void dispatch(std::function<void()> cb) {
-    if (engine != nullptr) {
-      engine->schedule_in(0, std::move(cb));
+  /// Run `w` exactly once, per the completion-ordering rule above.
+  void dispatch(Waiter w) {
+    if (engine == nullptr) {
+      w.handle ? w.handle.resume() : w.fn();
+    } else if (w.handle) {
+      engine->resume_in(0, w.handle);
     } else {
-      cb();
+      engine->schedule_in(0, std::move(w.fn));
     }
   }
 
-  /// Attach a continuation: queued while pending, dispatched once ready.
-  /// Late attachments still honour FIFO — with an engine they land behind
-  /// the callbacks the fulfilment already scheduled at the same instant.
-  void attach(std::function<void()> cb) {
+  /// Attach a waiter: queued while pending, dispatched once ready. Late
+  /// attachments still honour FIFO — with an engine they land behind the
+  /// waiters the fulfilment already scheduled at the same instant.
+  void attach(std::coroutine_handle<> h) { attach(Waiter{h, {}}); }
+  void attach(std::function<void()> fn) { attach(Waiter{{}, std::move(fn)}); }
+  void attach(Waiter w) {
     if (ready) {
-      dispatch(std::move(cb));
+      dispatch(std::move(w));
     } else {
-      callbacks.push_back(std::move(cb));
+      waiters.push_back(std::move(w));
     }
   }
 
-  /// Flip to ready and dispatch every queued callback in attach order.
-  /// Each callback leaves the queue before it can run, so no callback can
-  /// ever fire twice (the property async_future_test asserts).
+  /// Flip to ready and dispatch every queued waiter in attach order. Each
+  /// waiter leaves the queue before it can run, so none can ever fire twice
+  /// (the property async_future_test asserts).
   void resolve() {
     assert(!ready && "async::promise: double fulfilment");
     ready = true;
-    std::vector<std::function<void()>> cbs = std::move(callbacks);
-    callbacks.clear();
-    for (auto& cb : cbs) dispatch(std::move(cb));
+    std::vector<Waiter> ws = std::move(waiters);
+    waiters.clear();
+    for (auto& w : ws) dispatch(std::move(w));
   }
 };
 
@@ -226,15 +243,12 @@ class future {
 
   /// Awaitable resolution (the upc_waitsync analogue): suspends the
   /// awaiting coroutine until the future resolves, then yields the value
-  /// or rethrows. Identical spelling to sim::Future so call sites migrate
-  /// without edits: `co_await fut.wait()`.
+  /// or rethrows: `co_await fut.wait()`.
   [[nodiscard]] auto wait() const {
     struct Awaiter {
       std::shared_ptr<detail::State<T>> state;
       bool await_ready() const noexcept { return !state || state->ready; }
-      void await_suspend(std::coroutine_handle<> h) {
-        state->attach([h] { h.resume(); });
-      }
+      void await_suspend(std::coroutine_handle<> h) { state->attach(h); }
       T await_resume() const {
         if (state && state->exception) std::rethrow_exception(state->exception);
         if constexpr (!std::is_void_v<T>) {
@@ -282,9 +296,9 @@ class future {
 template <class T = void>
 class promise {
  public:
-  /// Engine-less promise: callbacks run inline (tests, ready futures).
+  /// Engine-less promise: waiters run inline (tests, ready futures).
   promise() : state_(std::make_shared<detail::State<T>>()) {}
-  /// Engine-backed promise: callbacks defer as same-instant events.
+  /// Engine-backed promise: waiters defer as same-instant events.
   explicit promise(sim::Engine& engine) : promise() {
     state_->engine = &engine;
   }
@@ -341,7 +355,7 @@ struct Gather {
     for (auto& f : inputs) {
       if (f.failed()) {
         try {
-          f.get();
+          static_cast<void>(f.get());
         } catch (...) {
           result.set_exception(std::current_exception());
           return;

@@ -87,9 +87,9 @@ class SubContext {
     co_await memget(dst, gas::to_const(src), count);
   }
   template <class T>
-  [[nodiscard]] sim::Future<> memput_async(gas::GlobalPtr<T> dst, const T* src,
-                                           std::size_t count) {
-    return master().start_async(memput(dst, src, count));
+  [[nodiscard]] async::future<> memput_async(gas::GlobalPtr<T> dst,
+                                             const T* src, std::size_t count) {
+    return sim::spawn(master().runtime().engine(), memput(dst, src, count));
   }
 
  private:

@@ -97,29 +97,32 @@ sim::Task<void> FtModel::exchange_split(gas::Thread& self) {
     co_return;
   }
   // Berkeley-style split phase: issue every peer chunk non-blocking, then
-  // wait for all transfers, then a barrier to close the epoch. The async
-  // path pipelines through the completion layer (when_all over promise-
-  // backed futures); the legacy path drains per-handle sim::Futures.
-  if (cfg_.async) {
-    std::vector<async::future<>> pending;
-    pending.reserve(static_cast<std::size_t>(T - 1));
-    for (int step = 1; step < T; ++step) {
-      const int peer = (me + step) % T;
-      pending.push_back(self.launch_async(self.copy_raw(
-          peer, nullptr, nullptr, static_cast<std::size_t>(chunk_bytes_))));
-    }
-    co_await async::when_all(std::move(pending)).wait();
-  } else {
-    std::vector<sim::Future<>> pending;
-    pending.reserve(static_cast<std::size_t>(T - 1));
-    for (int step = 1; step < T; ++step) {
-      const int peer = (me + step) % T;
-      pending.push_back(self.start_async(self.copy_raw(
-          peer, nullptr, nullptr, static_cast<std::size_t>(chunk_bytes_))));
-    }
-    for (auto& f : pending) co_await f.wait();
+  // wait for all transfers, then a barrier to close the epoch.
+  const auto chunk = static_cast<std::size_t>(chunk_bytes_);
+  std::vector<async::future<>> pending;
+  pending.reserve(static_cast<std::size_t>(T - 1));
+  for (int step = 1; step < T; ++step) {
+    const int peer = (me + step) % T;
+    pending.push_back(
+        submit(self, self.copy_raw(peer, nullptr, nullptr, chunk)));
   }
+  co_await drain(std::move(pending));
   co_await self.barrier();
+}
+
+async::future<> FtModel::submit(gas::Thread& t, sim::Task<void> op) {
+  // The async path pipelines through the completion layer; the legacy
+  // path runs each copy as a bare process.
+  return cfg_.async ? t.launch_async(std::move(op))
+                    : sim::spawn(rt_->engine(), std::move(op));
+}
+
+sim::Task<void> FtModel::drain(std::vector<async::future<>> pending) {
+  if (cfg_.async) {
+    co_await async::when_all(std::move(pending));
+  } else {
+    for (auto& f : pending) co_await f;
+  }
 }
 
 sim::Task<void> FtModel::exchange_hier(gas::Thread& self) {
@@ -194,20 +197,14 @@ sim::Task<void> FtModel::exchange_overlap(gas::Thread& self,
   const double piece = chunk_bytes_ / planes_per_rank_;
   const auto expected = static_cast<std::size_t>(planes) *
                         static_cast<std::size_t>(T - 1);
-  std::vector<sim::Future<>> pending;
-  std::vector<async::future<>> pending_async;
-  (cfg_.async ? pending_async.reserve(expected) : pending.reserve(expected));
+  std::vector<async::future<>> pending;
+  pending.reserve(expected);
 
   auto send_plane = [&](gas::Thread& t) {
     for (int step = 1; step < T; ++step) {
       const int peer = (me + step) % T;
-      auto op = t.copy_raw(peer, nullptr, nullptr,
-                           static_cast<std::size_t>(piece));
-      if (cfg_.async) {
-        pending_async.push_back(t.launch_async(std::move(op)));
-      } else {
-        pending.push_back(t.start_async(std::move(op)));
-      }
+      pending.push_back(submit(t, t.copy_raw(peer, nullptr, nullptr,
+                                             static_cast<std::size_t>(piece))));
     }
   };
 
@@ -235,11 +232,7 @@ sim::Task<void> FtModel::exchange_overlap(gas::Thread& self,
       for (int p = 0; p < batch; ++p) send_plane(self);
     }
   }
-  if (cfg_.async) {
-    co_await async::when_all(std::move(pending_async)).wait();
-  } else {
-    for (auto& f : pending) co_await f.wait();
-  }
+  co_await drain(std::move(pending));
   co_await self.barrier();
 }
 

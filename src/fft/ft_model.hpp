@@ -68,11 +68,11 @@ struct FtConfig {
   // Fraction of peak FLOP rate the FFT kernels achieve (cache-blocked
   // FFTs typically run at ~20-25% of peak on Nehalem-class cores).
   double fft_efficiency = 0.22;
-  // Drain the all-to-all through the promise-based completion layer
-  // (async::future + when_all, the pipelined path) instead of the legacy
-  // per-handle sim::Future waitsync loop. Same modeled schedule; the async
-  // path additionally flows through fault::CompletionHook and the
-  // async.copy.* counters. hupc_bench exposes it as --async=on|off.
+  // Drain the all-to-all through the completion layer (launch_async +
+  // when_all, the pipelined path) instead of the legacy loop that waits on
+  // each bare spawned copy in turn. Same modeled schedule; the async path
+  // additionally flows through fault::CompletionHook and the async.copy.*
+  // counters. hupc_bench exposes it as --async=on|off.
   bool async = true;
   // All-to-all algorithm for the upc_p2p split-phase exchange: flat
   // staggered (the §4.3.3.1 reference) or the supernode-leader
@@ -131,6 +131,10 @@ class FtModel {
                                                  core::SubPool* pool,
                                                  double per_plane_seconds,
                                                  int planes);
+  /// Start one exchange copy non-blocking, per FtConfig::async.
+  [[nodiscard]] async::future<> submit(gas::Thread& t, sim::Task<void> op);
+  /// Wait for every submitted copy, per FtConfig::async.
+  [[nodiscard]] sim::Task<void> drain(std::vector<async::future<>> pending);
 
   gas::Runtime* rt_;
   FtConfig cfg_;

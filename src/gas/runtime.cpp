@@ -170,10 +170,10 @@ void Runtime::run_to_completion() {
   // A rank that died with an exception strands its peers at barriers —
   // surface the root cause, not the symptom.
   for (auto& p : procs_) {
-    if (p.failed()) p.rethrow();
+    if (p.failed()) p.get();
   }
   for (auto& p : procs_) {
-    if (!p.done()) {
+    if (!p.ready()) {
       throw std::logic_error(
           "Runtime: a rank did not finish (deadlocked barrier or lock?)");
     }
@@ -351,26 +351,17 @@ sim::Task<void> Thread::shared_loop(int home_rank, std::uint64_t count,
 
 bool Thread::castable(int owner) const { return rt_->same_supernode(rank_, owner); }
 
-sim::Future<> Thread::start_async(sim::Task<void> op) {
-  return sim::start(rt_->engine(), std::move(op));
-}
-
 async::future<> Thread::launch_async(sim::Task<void> op) {
   HUPC_TRACE_COUNT(rt_->tracer(), "async.copy.issued", rank_);
-  async::promise<> done(rt_->engine());
-  async::future<> fut = done.get_future();
-  sim::spawn(rt_->engine(), complete_async(std::move(op), std::move(done)));
-  return fut;
+  return sim::spawn(rt_->engine(), complete_async(std::move(op)));
 }
 
-sim::Task<void> Thread::complete_async(sim::Task<void> op,
-                                       async::promise<> done) {
+sim::Task<void> Thread::complete_async(sim::Task<void> op) {
   try {
     co_await std::move(op);
   } catch (...) {
     HUPC_TRACE_COUNT(rt_->tracer(), "async.copy.failed", rank_);
-    done.set_exception(std::current_exception());
-    co_return;
+    throw;
   }
   // The operation's work (data movement, invalidation, cost charges) is
   // fully done; only the COMPLETION may now be held back, so a fault plan
@@ -380,7 +371,6 @@ sim::Task<void> Thread::complete_async(sim::Task<void> op,
     if (extra > 0) co_await sim::delay(rt_->engine(), extra);
   }
   HUPC_TRACE_COUNT(rt_->tracer(), "async.copy.completed", rank_);
-  done.set_value();
 }
 
 sim::Task<void> Thread::element_access(int owner, std::size_t bytes) {

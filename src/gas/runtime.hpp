@@ -537,7 +537,6 @@ class Thread {
   [[nodiscard]] sim::Task<void> copy_raw_from(topo::HwLoc at, int peer,
                                               void* dst, const void* src,
                                               std::size_t bytes);
-  [[nodiscard]] sim::Future<> start_async(sim::Task<void> op);
   /// Run `op` as an engine process behind a chainable future: resolves
   /// (or carries op's exception) at completion, after any installed
   /// fault::CompletionHook delay. Counters: async.copy.issued at launch,
@@ -545,9 +544,9 @@ class Thread {
   [[nodiscard]] async::future<> launch_async(sim::Task<void> op);
 
  private:
-  /// launch_async's driver coroutine (spawned as a root process).
-  [[nodiscard]] sim::Task<void> complete_async(sim::Task<void> op,
-                                               async::promise<> done);
+  /// The body launch_async spawns as a root process: runs `op`, then
+  /// holds the completion for the hook's delay.
+  [[nodiscard]] sim::Task<void> complete_async(sim::Task<void> op);
   [[nodiscard]] sim::Task<void> element_access(int owner, std::size_t bytes);
   /// Read-class fine-grained access (get / metadata probe): serves from
   /// the read cache inside a cached epoch (consulting the coalescer's
@@ -735,7 +734,7 @@ class Runtime {
   SharedHeap heap_;
   sim::Barrier barrier_;
   std::vector<std::unique_ptr<Thread>> threads_;
-  std::vector<sim::Process> procs_;
+  std::vector<async::future<>> procs_;
   Kernel kernel_;  // owns the closure the rank coroutines execute in
   fault::Hooks fault_hooks_;
   bool launched_ = false;

@@ -74,8 +74,8 @@ sim::Task<void> Mpi::send_impl(gas::Thread& self, int dst, int tag,
   auto record = std::make_shared<Rendezvous>();
   record->sbuf = buf;
   record->bytes = bytes;
-  record->matched = std::make_unique<sim::Promise<>>(rt_->engine());
-  record->recv_done = std::make_unique<sim::Promise<>>(rt_->engine());
+  record->matched.emplace(rt_->engine());
+  record->recv_done.emplace(rt_->engine());
   sends_[key].push_back(record);
   auto matched = record->matched->get_future();
   co_await matched.wait();
@@ -107,7 +107,8 @@ sim::Task<void> Mpi::recv_impl(gas::Thread& self, int src, int tag, void* buf,
     co_await done.wait();
     co_return;
   }
-  recvs_[key].push_back(PendingRecv{buf, bytes, sim::Promise<>(rt_->engine())});
+  recvs_[key].push_back(
+      PendingRecv{buf, bytes, async::promise<>(rt_->engine())});
   auto fut = recvs_[key].back().done.get_future();
   co_await fut.wait();
 }
@@ -145,7 +146,7 @@ sim::Task<void> Mpi::pairwise_alltoall(gas::Thread& self, const void* sendbuf,
   for (int step = 1; step < nthreads; ++step) {
     const int to = (me + step) % nthreads;
     const int from = (me - step + nthreads) % nthreads;
-    auto send_done = sim::start(
+    auto send_done = sim::spawn(
         rt_->engine(),
         send_impl(self, to, kTag + step,
                   modeled ? nullptr
@@ -233,19 +234,19 @@ sim::Task<void> Mpi::alltoall(gas::Thread& self, const void* sendbuf,
   // busy), so the phase is NIC-bound rather than per-flow-cap-bound.
   if (static_cast<int>(local) == 0) {
     constexpr int kTag = 0x417;
-    std::vector<sim::Future<>> inflight;
+    std::vector<async::future<>> inflight;
     inflight.reserve(2 * static_cast<std::size_t>(nodes));
     for (int step = 1; step < nodes; ++step) {
       const int to_node = (my_node + step) % nodes;
       const int from_node = (my_node - step + nodes) % nodes;
-      inflight.push_back(sim::start(
+      inflight.push_back(sim::spawn(
           rt_->engine(),
           send_impl(self, leader_of_node(to_node), kTag + step,
                     modeled ? nullptr
                             : stage.gather.data() +
                                   static_cast<std::size_t>(to_node) * node_chunk,
                     node_chunk, kCollectiveApiScale)));
-      inflight.push_back(sim::start(
+      inflight.push_back(sim::spawn(
           rt_->engine(),
           recv_impl(self, leader_of_node(from_node), kTag + step,
                     modeled ? nullptr

@@ -19,9 +19,11 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <tuple>
 #include <vector>
 
+#include "async/future.hpp"
 #include "gas/gas.hpp"
 #include "sim/sim.hpp"
 
@@ -81,13 +83,13 @@ class Mpi {
     bool eager = false;
     void* rbuf = nullptr;
     bool matched_flag = false;
-    std::unique_ptr<sim::Promise<>> matched;    // recv arrived (sender waits)
-    std::unique_ptr<sim::Promise<>> recv_done;  // transfer done (recv waits)
+    std::optional<async::promise<>> matched;    // recv arrived (sender waits)
+    std::optional<async::promise<>> recv_done;  // transfer done (recv waits)
   };
   struct PendingRecv {
     void* buf;
     std::size_t bytes;
-    sim::Promise<> done;
+    async::promise<> done;
   };
   using Key = std::tuple<int, int, int>;  // (src, dst, tag)
 

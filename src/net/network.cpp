@@ -128,7 +128,7 @@ sim::Task<void> Network::rma(Transfer t) {
         t.src_node * endpoints_per_node_ + t.src_ep % endpoints_per_node_)];
     co_await endpoint.lock();
     sim::ScopedLock pipeline(endpoint);
-    sim::Future<> src_leg, dst_leg;
+    async::future<> src_leg, dst_leg;
     {
       auto& conn = connection(t.src_node, t.src_ep);
       co_await conn.lock();
@@ -190,8 +190,8 @@ sim::Task<void> Network::loopback(Transfer t, double loopback_bw) {
                                                   conduit_.recv_overhead_s));
 }
 
-sim::Future<> Network::rma_async(Transfer t) {
-  return sim::start(*engine_, rma(t));
+async::future<> Network::rma_async(Transfer t) {
+  return sim::spawn(*engine_, rma(t));
 }
 
 std::uint64_t Network::total_messages() const noexcept {

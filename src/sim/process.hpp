@@ -2,18 +2,16 @@
 //
 // spawn() turns a Task<void> into an engine-driven root process: it starts
 // at the current virtual time, runs to completion, and self-destroys. The
-// returned Process handle supports joining both from other coroutines
-// (co_await p.join(e)) and from host code (drive the engine, then rethrow()).
+// returned async::future<> joins it both from other coroutines
+// (co_await fut) and from host code (drive the engine, then get()).
 #pragma once
 
 #include <coroutine>
 #include <exception>
-#include <memory>
 #include <utility>
-#include <vector>
 
+#include "async/future.hpp"
 #include "sim/engine.hpp"
-#include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
 
@@ -37,16 +35,10 @@ struct DelayAwaiter {
 
 namespace detail {
 
-struct ProcState {
-  bool done = false;
-  std::exception_ptr exception{};
-  std::vector<std::coroutine_handle<>> joiners;
-};
-
 /// Root coroutine type: auto-destroyed at completion (final_suspend never
-/// suspends); completion status lives in the shared ProcState, never in the
-/// frame. The engine must be run to completion before destruction, otherwise
-/// in-flight frames are unreachable.
+/// suspends); completion status lives in the future spawn() returns, never
+/// in the frame. The engine must be run to completion before destruction,
+/// otherwise in-flight frames are unreachable.
 struct RootTask {
   struct promise_type {
     RootTask get_return_object() noexcept {
@@ -61,93 +53,35 @@ struct RootTask {
   std::coroutine_handle<promise_type> handle;
 };
 
-inline RootTask run_root(Engine& engine, std::shared_ptr<ProcState> state,
-                         Task<void> body) {
+/// Run `body` and settle `done` with its outcome. The future's waiters are
+/// woken as same-instant events, which keeps the resume stack flat and the
+/// ordering deterministic.
+inline RootTask run_root(async::promise<> done, Task<void> body) {
   try {
     co_await std::move(body);
   } catch (...) {
-    state->exception = std::current_exception();
+    done.set_exception(std::current_exception());
+    co_return;
   }
-  state->done = true;
-  // Wake joiners as same-instant events: keeps the resume stack flat and the
-  // ordering deterministic.
-  for (auto h : state->joiners) {
-    engine.resume_in(0, h);
-  }
-  state->joiners.clear();
+  done.set_value();
 }
 
 }  // namespace detail
 
-/// Handle to a spawned logical process.
-class Process {
- public:
-  Process() = default;
-
-  [[nodiscard]] bool done() const noexcept { return state_ && state_->done; }
-  [[nodiscard]] bool failed() const noexcept {
-    return state_ && state_->exception != nullptr;
-  }
-
-  /// Rethrow the process's exception, if any. Host-side use after run().
-  void rethrow() const {
-    if (state_ && state_->exception) std::rethrow_exception(state_->exception);
-  }
-
-  /// Awaitable join for use inside other coroutines. Propagates exceptions.
-  [[nodiscard]] auto join() {
-    struct Awaiter {
-      std::shared_ptr<detail::ProcState> state;
-      bool await_ready() const noexcept { return !state || state->done; }
-      void await_suspend(std::coroutine_handle<> h) const {
-        state->joiners.push_back(h);
-      }
-      void await_resume() const {
-        if (state && state->exception) std::rethrow_exception(state->exception);
-      }
-    };
-    return Awaiter{state_};
-  }
-
- private:
-  friend Process spawn(Engine&, Task<void>);
-  explicit Process(std::shared_ptr<detail::ProcState> s) : state_(std::move(s)) {}
-  std::shared_ptr<detail::ProcState> state_;
-};
-
-/// Start `body` as a root process at the current virtual time.
-inline Process spawn(Engine& engine, Task<void> body) {
-  auto state = std::make_shared<detail::ProcState>();
-  detail::RootTask root = detail::run_root(engine, state, std::move(body));
+/// Start `body` as a root process at the current virtual time. The
+/// returned future resolves when the process finishes (or carries its
+/// exception): `co_await fut` joins it from another coroutine, and host
+/// code drives the engine, then inspects ready()/failed()/get(). This is
+/// also the fire-and-forget-then-waitsync bridge from Task-returning APIs
+/// (the upc_memput_async / upc_waitsync analogue).
+inline async::future<> spawn(Engine& engine, Task<void> body) {
+  async::promise<> done(engine);
+  async::future<> result = done.get_future();
+  detail::RootTask root = detail::run_root(std::move(done), std::move(body));
   // run_root is suspended at initial_suspend; kick it off as an engine event
   // so processes begin in spawn order once the engine runs.
   engine.resume_in(0, root.handle);
-  return Process(state);
-}
-
-namespace detail {
-// NB: fully qualified — detail::Promise (the coroutine promise type in
-// task.hpp) would otherwise shadow the Future/Promise pair from sync.hpp.
-inline Task<void> complete_into(Task<void> body,
-                                ::hupc::sim::Promise<> promise) {
-  try {
-    co_await std::move(body);
-    promise.set_value();
-  } catch (...) {
-    promise.set_exception(std::current_exception());
-  }
-}
-}  // namespace detail
-
-/// Start `body` as a root process and return a Future that becomes ready
-/// (or carries the exception) when it completes. This is the bridge from
-/// Task-returning APIs to fire-and-forget-then-waitsync usage patterns
-/// (upc_memput_async / upc_waitsync analogues in the GAS layer).
-inline Future<> start(Engine& engine, Task<void> body) {
-  Promise<> promise(engine);
-  Future<> future = promise.get_future();
-  spawn(engine, detail::complete_into(std::move(body), std::move(promise)));
-  return future;
+  return result;
 }
 
 }  // namespace hupc::sim

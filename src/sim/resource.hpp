@@ -28,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "async/future.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 #include "sim/sync.hpp"
@@ -73,10 +74,11 @@ class FluidLink {
   /// transfer's share; <=0 means uncapped.
   [[nodiscard]] Task<void> transfer(double bytes, double max_rate = 0.0);
 
-  /// Start a transfer immediately and return a Future that becomes ready on
+  /// Start a transfer immediately and return a future that becomes ready on
   /// completion — lets a caller drive several links in parallel and await
   /// the slowest (e.g. a cross-socket stream occupying memory bus + QPI).
-  [[nodiscard]] Future<> transfer_async(double bytes, double max_rate = 0.0);
+  [[nodiscard]] async::future<> transfer_async(double bytes,
+                                               double max_rate = 0.0);
 
   [[nodiscard]] double capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t active_transfers() const noexcept {
@@ -89,7 +91,7 @@ class FluidLink {
     double remaining;
     double cap;   // per-transfer rate cap (or huge)
     double rate;  // current assigned rate
-    Promise<> done;
+    async::promise<> done;
   };
 
   void advance_progress();

@@ -2,14 +2,12 @@
 // benches, network diagnostics, and the kv serving harness's percentile
 // reporting (DESIGN.md §16).
 //
-// LogHistogram generalizes the original power-of-two Histogram with two
-// knobs: a `unit` scale (bucket 0 absorbs [0, unit), so microsecond-scale
-// latencies do not all collapse into one bucket) and `sub_bits` linear
-// sub-buckets per octave (HDR-histogram style: 2^sub_bits sub-buckets keep
-// the relative quantization error below 2^-sub_bits everywhere). Histogram
-// is now a thin wrapper over LogHistogram(unit=1, sub_bits=0) — the same
-// buckets, totals, and percentile_ceiling values as before, computed by the
-// one shared implementation.
+// LogHistogram has two knobs: a `unit` scale (bucket 0 absorbs [0, unit),
+// so microsecond-scale latencies do not all collapse into one bucket) and
+// `sub_bits` linear sub-buckets per octave (HDR-histogram style: 2^sub_bits
+// sub-buckets keep the relative quantization error below 2^-sub_bits
+// everywhere). LogHistogram(1.0, 0, n) is the plain power-of-two layout:
+// [0,1), [1,2), [2,4), ... with n doubling buckets above the unit bucket.
 #pragma once
 
 #include <cstdint>
@@ -73,33 +71,6 @@ class LogHistogram {
   std::uint64_t total_ = 0;
   double min_ = 0;
   double max_ = 0;
-};
-
-class Histogram {
- public:
-  /// Buckets: [0,1), [1,2), [2,4), ..., doubling; values above the top
-  /// bucket clamp into it. `max_log2` buckets above the unit bucket.
-  explicit Histogram(int max_log2 = 32);
-
-  void add(double value, std::uint64_t weight = 1);
-
-  [[nodiscard]] std::uint64_t total() const noexcept { return log_.total(); }
-  [[nodiscard]] std::uint64_t bucket(int index) const {
-    return log_.bucket(index);
-  }
-  [[nodiscard]] int buckets() const noexcept { return log_.buckets(); }
-  /// Lower bound of bucket `index` (0, 1, 2, 4, ...).
-  [[nodiscard]] static double bucket_floor(int index);
-
-  /// Smallest value v such that at least `p` (0..1) of the weight is <= v's
-  /// bucket ceiling. Returns 0 for an empty histogram.
-  [[nodiscard]] double percentile_ceiling(double p) const;
-
-  /// Text rendering: one line per non-empty bucket with a proportional bar.
-  void print(std::ostream& os, const std::string& unit = "") const;
-
- private:
-  LogHistogram log_;
 };
 
 }  // namespace hupc::util

@@ -1,5 +1,5 @@
-// Property battery for the async completion primitives (ISSUE: completion
-// ordering). The invariants hammered here:
+// Property battery for the async completion primitives, the simulator's one
+// completion type (completion ordering). The invariants hammered here:
 //   * then-chains of arbitrary depth deliver every stage exactly once, in
 //     chain order;
 //   * when_all is invariant under completion-order shuffles — values land
@@ -7,6 +7,11 @@
 //     the inputs resolved in;
 //   * fulfilling before vs after attaching continuations is observably
 //     identical (modulo the engine's same-instant deferral);
+//   * suspended coroutines, then-callbacks and plain engine events run in
+//     attach/schedule order at the fulfilment instant, also under a
+//     delaying schedule hook; engine-less futures resume awaiters inline;
+//   * sim::spawn's future joins a process: immediately once it is done, and
+//     carrying its exception;
 //   * no callback ever runs twice;
 //   * shared states are counter-balanced: once every future/promise dies,
 //     the live-state census returns to its starting value (no leaks, no
@@ -15,13 +20,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "fault/hooks.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
+#include "sim/resource.hpp"
 #include "sim/task.hpp"
 #include "util/rng.hpp"
 
@@ -131,7 +140,7 @@ TEST(AsyncFuture, ExceptionSkipsContinuationAndPropagates) {
   e.run();
   EXPECT_FALSE(invoked);
   ASSERT_TRUE(f.failed());
-  EXPECT_THROW(f.get(), std::runtime_error);
+  EXPECT_THROW(static_cast<void>(f.get()), std::runtime_error);
 }
 
 TEST(AsyncFuture, WhenAllValuesInInputOrderUnderShuffledCompletion) {
@@ -249,8 +258,191 @@ TEST(AsyncFuture, CoAwaitIntegratesWithSimTasks) {
     co_return;
   }(p, p.get_future(), got, e));
   e.run();
-  EXPECT_TRUE(proc.done());
+  EXPECT_TRUE(proc.ready());
   EXPECT_EQ(got, 99);
+}
+
+/// Delays every scheduled event by the same 5 ns, so a path that skipped
+/// the hook would fall out of order.
+struct FixedDelayHook final : fault::ScheduleHook {
+  std::int64_t perturb_schedule(std::int64_t /*now*/,
+                                std::int64_t at) noexcept override {
+    return at + 5;
+  }
+};
+
+using Log = std::vector<std::pair<char, sim::Time>>;
+
+sim::Task<void> log_after(sim::Engine& e, future<> f, Log& log, char tag) {
+  co_await f;
+  log.emplace_back(tag, e.now());
+}
+
+TEST(AsyncFuture, WaitersCallbacksAndEventsRunInAttachOrder) {
+  for (const bool hooked : {false, true}) {
+    sim::Engine e;
+    FixedDelayHook hook;
+    if (hooked) e.set_fault(&hook);
+    promise<> p(e);
+    const future<> f = p.get_future();
+    Log log;
+    const auto record = [&e, &log](char tag) {
+      return [&e, &log, tag] { log.emplace_back(tag, e.now()); };
+    };
+    // Waiters a (coroutine), b (then), c (coroutine), each suspended or
+    // attached before fulfilment, bracketed by plain events x and y.
+    sim::spawn(e, log_after(e, f, log, 'a'));
+    e.run();
+    f.then(record('b'));
+    sim::spawn(e, log_after(e, f, log, 'c'));
+    e.run();
+    e.schedule_in(0, record('x'));
+    const sim::Time fulfilled = e.now();
+    p.set_value();
+    e.schedule_in(0, record('y'));
+    f.then(record('d'));  // late attach: behind y
+    ASSERT_TRUE(log.empty()) << "nothing runs inline from set_value";
+    e.run();
+    const sim::Time at = fulfilled + (hooked ? 5 : 0);
+    EXPECT_EQ(log, (Log{{'x', at}, {'a', at}, {'b', at}, {'c', at},
+                        {'y', at}, {'d', at}}))
+        << (hooked ? "with" : "without") << " the schedule hook";
+  }
+}
+
+TEST(AsyncFuture, EngineLessFutureResumesAwaiterInline) {
+  // when_all's result carries no engine: the last input's arrival callback
+  // resumes the awaiting coroutine inside its own event, ahead of an event
+  // scheduled at the same instant after the input resolved.
+  sim::Engine e;
+  promise<> p0(e);
+  promise<> p1(e);
+  Log log;
+  sim::spawn(e, log_after(e, when_all(std::vector<future<>>{p0.get_future(),
+                                                            p1.get_future()}),
+                          log, 'w'));
+  e.run();
+  p0.set_value();
+  e.run();
+  ASSERT_TRUE(log.empty());
+  p1.set_value();
+  e.schedule_in(0, [&e, &log] { log.emplace_back('m', e.now()); });
+  const std::uint64_t before = e.events_executed();
+  e.run();
+  EXPECT_EQ(log, (Log{{'w', 0}, {'m', 0}}));
+  EXPECT_EQ(e.events_executed() - before, 2U)
+      << "one arrival event and the marker, no resume event";
+}
+
+TEST(Process, JoinFromAnotherCoroutine) {
+  sim::Engine e;
+  std::vector<int> order;
+  future<> worker = sim::spawn(
+      e, [](sim::Engine& eng, std::vector<int>& ord) -> sim::Task<void> {
+        co_await sim::delay(eng, 100);
+        ord.push_back(1);
+      }(e, order));
+  future<> watcher =
+      sim::spawn(e, [](future<> w, std::vector<int>& ord) -> sim::Task<void> {
+        co_await w;
+        ord.push_back(2);
+      }(worker, order));
+  e.run();
+  EXPECT_TRUE(watcher.ready());
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Process, JoinAfterDoneIsImmediate) {
+  sim::Engine e;
+  future<> quick = sim::spawn(e, []() -> sim::Task<void> { co_return; }());
+  e.run();
+  ASSERT_TRUE(quick.ready());
+  bool joined = false;
+  sim::spawn(e, [](future<> q, bool& j) -> sim::Task<void> {
+    co_await q;
+    j = true;
+  }(quick, joined));
+  const std::uint64_t before = e.events_executed();
+  e.run();
+  EXPECT_TRUE(joined);
+  EXPECT_EQ(e.events_executed() - before, 1U) << "only the joiner's start";
+}
+
+TEST(Process, JoinPropagatesChildException) {
+  sim::Engine e;
+  future<> bad = sim::spawn(e, []() -> sim::Task<void> {
+    throw std::logic_error("bad");
+    co_return;
+  }());
+  bool caught = false;
+  sim::spawn(e, [](future<> b, bool& c) -> sim::Task<void> {
+    try {
+      co_await b;
+    } catch (const std::logic_error&) {
+      c = true;
+    }
+  }(bad, caught));
+  e.run();
+  EXPECT_TRUE(caught);
+  ASSERT_TRUE(bad.failed());
+  EXPECT_THROW(bad.get(), std::logic_error);
+}
+
+TEST(FuturePromise, DeliversValueAcrossProcesses) {
+  sim::Engine e;
+  promise<int> prom(e);
+  int got = 0;
+  sim::spawn(e, [](future<int> f, int& g) -> sim::Task<void> {
+    g = co_await f;
+  }(prom.get_future(), got));
+  sim::spawn(e, [](sim::Engine& eng, promise<int> p) -> sim::Task<void> {
+    co_await sim::delay(eng, 42);
+    p.set_value(17);
+  }(e, std::move(prom)));
+  e.run();
+  EXPECT_EQ(got, 17);
+  EXPECT_EQ(e.now(), 42);
+}
+
+TEST(FuturePromise, ExceptionPropagates) {
+  sim::Engine e;
+  promise<> prom(e);
+  bool caught = false;
+  sim::spawn(e, [](future<> f, bool& c) -> sim::Task<void> {
+    try {
+      co_await f;
+    } catch (const std::runtime_error&) {
+      c = true;
+    }
+  }(prom.get_future(), caught));
+  prom.set_exception(std::make_exception_ptr(std::runtime_error("x")));
+  e.run();
+  EXPECT_TRUE(caught);
+}
+
+TEST(WaitAll, CompletesWhenEveryFutureDoes) {
+  sim::Engine e;
+  std::vector<promise<>> proms;
+  std::vector<future<>> futs;
+  for (int i = 0; i < 3; ++i) {
+    proms.emplace_back(e);
+    futs.push_back(proms.back().get_future());
+  }
+  bool done = false;
+  sim::spawn(e, [](std::vector<future<>> fs, bool& d) -> sim::Task<void> {
+    co_await when_all(std::move(fs));
+    d = true;
+  }(futs, done));
+  for (int i = 0; i < 3; ++i) {
+    sim::spawn(
+        e, [](sim::Engine& eng, promise<>& p, int id) -> sim::Task<void> {
+          co_await sim::delay(eng, 10 * (id + 1));
+          p.set_value();
+        }(e, proms[static_cast<std::size_t>(i)], i));
+  }
+  e.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(e.now(), 30);
 }
 
 TEST(AsyncFuture, SharedStatesAreCounterBalanced) {
@@ -264,9 +456,21 @@ TEST(AsyncFuture, SharedStatesAreCounterBalanced) {
     std::vector<future<int>> many;
     for (int i = 0; i < 10; ++i) many.push_back(f.then([](int v) { return v; }));
     auto all = when_all(std::move(many));
+    // Spawned processes and FluidLink transfers complete through the same
+    // shared states.
+    future<> proc = sim::spawn(e, [](sim::Engine& eng) -> sim::Task<void> {
+      co_await sim::delay(eng, 10);
+    }(e));
+    sim::FluidLink link(e, 1e9);
+    future<> xfer = link.transfer_async(1e3);
+    sim::spawn(e, [](sim::FluidLink& l) -> sim::Task<void> {
+      co_await l.transfer(2e3);
+    }(link));
     p.set_value(3);
     e.run();
     EXPECT_EQ(g.get(), 7);
+    EXPECT_TRUE(proc.ready());
+    EXPECT_TRUE(xfer.ready());
     EXPECT_GT(debug_live_states(), before);  // states alive while handles live
   }
   EXPECT_EQ(debug_live_states(), before)

@@ -8,6 +8,7 @@
 #include <utility>
 #include <vector>
 
+#include "async/future.hpp"
 #include "sim/engine.hpp"
 #include "sim/process.hpp"
 #include "sim/resource.hpp"
@@ -28,8 +29,8 @@ class ListFluidLink {
       : engine_(&engine), capacity_(capacity) {}
 
   Task<void> transfer(double bytes, double max_rate = 0.0) {
-    Promise<> done(*engine_);
-    Future<> fut = done.get_future();
+    hupc::async::promise<> done(*engine_);
+    hupc::async::future<> fut = done.get_future();
     if (bytes <= kEpsilonBytes) {
       done.set_value();
     } else {
@@ -50,7 +51,7 @@ class ListFluidLink {
     double remaining;
     double cap;
     double rate;
-    Promise<> done;
+    hupc::async::promise<> done;
   };
 
   void advance_progress() {

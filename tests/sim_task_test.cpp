@@ -11,7 +11,6 @@ namespace {
 
 using hupc::sim::delay;
 using hupc::sim::Engine;
-using hupc::sim::Process;
 using hupc::sim::spawn;
 using hupc::sim::Task;
 using hupc::sim::Time;
@@ -25,14 +24,14 @@ Task<int> adds(Engine& e) {
   co_return a + b;
 }
 
-Task<void> driver(Engine& e, int& out) { out = co_await adds(e); }
+Task<void> outer(Engine& e, int& out) { out = co_await adds(e); }
 
 TEST(Task, NestedAwaitsPropagateValuesAndTime) {
   Engine e;
   int out = 0;
-  Process p = spawn(e, driver(e, out));
+  auto p = spawn(e, outer(e, out));
   e.run();
-  EXPECT_TRUE(p.done());
+  EXPECT_TRUE(p.ready());
   EXPECT_EQ(out, 42);
   EXPECT_EQ(e.now(), 5);
 }
@@ -59,60 +58,11 @@ TEST(Task, ExceptionsPropagateThroughAwaitChain) {
     co_return;  // unreachable but required to make this a coroutine
   };
   auto middle = [&]() -> Task<void> { co_await thrower(); };
-  Process p = spawn(e, middle());
+  auto p = spawn(e, middle());
   e.run();
-  EXPECT_TRUE(p.done());
+  EXPECT_TRUE(p.ready());
   EXPECT_TRUE(p.failed());
-  EXPECT_THROW(p.rethrow(), std::runtime_error);
-}
-
-TEST(Process, JoinFromAnotherCoroutine) {
-  Engine e;
-  std::vector<int> order;
-  Process worker = spawn(e, [](Engine& eng, std::vector<int>& ord) -> Task<void> {
-    co_await delay(eng, 100);
-    ord.push_back(1);
-  }(e, order));
-  Process watcher =
-      spawn(e, [](Process w, std::vector<int>& ord) -> Task<void> {
-        co_await w.join();
-        ord.push_back(2);
-      }(worker, order));
-  e.run();
-  EXPECT_TRUE(watcher.done());
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(Process, JoinAfterDoneIsImmediate) {
-  Engine e;
-  Process quick = spawn(e, []() -> Task<void> { co_return; }());
-  e.run();
-  ASSERT_TRUE(quick.done());
-  bool joined = false;
-  spawn(e, [](Process q, bool& j) -> Task<void> {
-    co_await q.join();
-    j = true;
-  }(quick, joined));
-  e.run();
-  EXPECT_TRUE(joined);
-}
-
-TEST(Process, JoinPropagatesChildException) {
-  Engine e;
-  Process bad = spawn(e, []() -> Task<void> {
-    throw std::logic_error("bad");
-    co_return;
-  }());
-  bool caught = false;
-  spawn(e, [](Process b, bool& c) -> Task<void> {
-    try {
-      co_await b.join();
-    } catch (const std::logic_error&) {
-      c = true;
-    }
-  }(bad, caught));
-  e.run();
-  EXPECT_TRUE(caught);
+  EXPECT_THROW(p.get(), std::runtime_error);
 }
 
 TEST(Process, ManyProcessesInterleaveDeterministically) {

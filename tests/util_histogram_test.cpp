@@ -8,22 +8,25 @@
 namespace {
 
 namespace util = hupc::util;
-using hupc::util::Histogram;
+
+// The `Histogram` cases pin the plain power-of-two layout,
+// LogHistogram(1.0, 0, n): buckets [0,1), [1,2), [2,4), ..., doubling.
 
 TEST(Histogram, BucketBoundariesArePowersOfTwo) {
-  EXPECT_DOUBLE_EQ(Histogram::bucket_floor(0), 0.0);
-  EXPECT_DOUBLE_EQ(Histogram::bucket_floor(1), 1.0);
-  EXPECT_DOUBLE_EQ(Histogram::bucket_floor(2), 2.0);
-  EXPECT_DOUBLE_EQ(Histogram::bucket_floor(5), 16.0);
+  const util::LogHistogram h(1.0, 0, 8);
+  EXPECT_DOUBLE_EQ(h.bucket_floor(0), 0.0);
+  EXPECT_DOUBLE_EQ(h.bucket_floor(1), 1.0);
+  EXPECT_DOUBLE_EQ(h.bucket_floor(2), 2.0);
+  EXPECT_DOUBLE_EQ(h.bucket_floor(5), 16.0);
 }
 
 TEST(Histogram, ValuesLandInCorrectBuckets) {
-  Histogram h(10);
+  util::LogHistogram h(1.0, 0, 10);
   h.add(0.5);    // [0,1)
   h.add(1.0);    // [1,2)
   h.add(3.9);    // [2,4)
   h.add(4.0);    // [4,8)
-  h.add(1000.0); // [512,1024) -> bucket 10? index = 1+floor(log2(1000)) = 10
+  h.add(1000.0); // [512,1024): index = 1+floor(log2(1000)) = 10
   EXPECT_EQ(h.bucket(0), 1u);
   EXPECT_EQ(h.bucket(1), 1u);
   EXPECT_EQ(h.bucket(2), 1u);
@@ -33,13 +36,14 @@ TEST(Histogram, ValuesLandInCorrectBuckets) {
 }
 
 TEST(Histogram, OverflowClampsToTopBucket) {
-  Histogram h(4);  // top bucket index 4: [8, 16)
+  util::LogHistogram h(1.0, 0, 4);  // top bucket index 4: [8, 16)
   h.add(1e12);
+  EXPECT_EQ(h.buckets(), 5);
   EXPECT_EQ(h.bucket(4), 1u);
 }
 
 TEST(Histogram, WeightsAccumulate) {
-  Histogram h(8);
+  util::LogHistogram h(1.0, 0, 8);
   h.add(2.0, 10);
   h.add(2.5, 5);
   EXPECT_EQ(h.bucket(2), 15u);
@@ -47,13 +51,13 @@ TEST(Histogram, WeightsAccumulate) {
 }
 
 TEST(Histogram, PercentileCeiling) {
-  Histogram h(8);
+  util::LogHistogram h(1.0, 0, 8);
   for (int i = 0; i < 90; ++i) h.add(1.5);   // bucket [1,2)
   for (int i = 0; i < 10; ++i) h.add(100.0); // bucket [64,128)
   EXPECT_DOUBLE_EQ(h.percentile_ceiling(0.5), 2.0);
   EXPECT_DOUBLE_EQ(h.percentile_ceiling(0.9), 2.0);
   EXPECT_DOUBLE_EQ(h.percentile_ceiling(0.99), 128.0);
-  EXPECT_DOUBLE_EQ(Histogram(4).percentile_ceiling(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(util::LogHistogram(1.0, 0, 4).percentile_ceiling(0.5), 0.0);
 }
 
 TEST(LogHistogram, SubBucketsRefineOctaves) {
@@ -107,33 +111,14 @@ TEST(LogHistogram, MergeFoldsCountsAndExtrema) {
   EXPECT_THROW(a.merge(other_geometry), std::invalid_argument);
 }
 
-TEST(LogHistogram, MatchesLegacyHistogramLayoutAtUnitGeometry) {
-  // Histogram is now a wrapper over LogHistogram(1.0, 0, n): the layouts
-  // must agree bucket for bucket.
-  util::LogHistogram log(1.0, 0, 8);
-  Histogram legacy(8);
-  const double values[] = {0.0, 0.5, 1.0, 2.0, 3.9, 64.0, 1e9};
-  for (double v : values) {
-    log.add(v);
-    legacy.add(v);
-  }
-  ASSERT_EQ(log.buckets(), legacy.buckets());
-  for (int i = 0; i < log.buckets(); ++i) {
-    EXPECT_EQ(log.bucket(i), legacy.bucket(i)) << "bucket " << i;
-    EXPECT_DOUBLE_EQ(log.bucket_floor(i), Histogram::bucket_floor(i));
-  }
-  EXPECT_DOUBLE_EQ(log.percentile_ceiling(0.5),
-                   legacy.percentile_ceiling(0.5));
-}
-
 TEST(Histogram, PrintRendersNonEmptyBuckets) {
-  Histogram h(6);
+  util::LogHistogram h(1.0, 0, 6);
   h.add(3.0, 4);
   std::ostringstream os;
   h.print(os, "B");
   EXPECT_NE(os.str().find("[2, 4) B: 4"), std::string::npos);
   std::ostringstream empty;
-  Histogram(4).print(empty);
+  util::LogHistogram(1.0, 0, 4).print(empty);
   EXPECT_EQ(empty.str(), "(empty)\n");
 }
 
